@@ -148,51 +148,66 @@ func TestRunAllQuickSmoke(t *testing.T) {
 // splice zero-copy invariant (no payload byte staged while splice is
 // the mover) is enforced inside IPCBench itself — any violation fails
 // the experiment, not just this test.
+//
+// One cell can move ~2x between single runs, so every bar is asserted
+// on the median ratio of 5 interleaved runs (each run measures every
+// row), the method TestIPCBenchRegression uses.
 func TestShapeIPCBench(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock shape distorted by race instrumentation")
 	}
-	tab, err := IPCBench(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	byLabel := map[string][]float64{}
-	for _, r := range tab.Rows {
-		byLabel[r.Label] = r.Values
-	}
-	chunks := Quick().IPCChunks
-	for _, pair := range []struct {
-		vec, sc string
-		ratio   float64
+	// The acceptance bar is ≥2x pipe throughput at 64 KiB+ (measured
+	// ~2.5-4x); the always-on smoke asserts 1.5x to absorb CI jitter,
+	// and the OCCLUM_BENCH_REGRESS gate holds the 2x line. The socket
+	// path is noisier (the host-side drain goroutine shares the clock),
+	// so its smoke bar is just clearly-above-scalar.
+	bars := []struct {
+		num, den string
+		ratio    float64
 	}{
-		// The acceptance bar is ≥2x pipe throughput at 64 KiB+
-		// (measured ~2.5-4x); the always-on smoke asserts 1.5x to
-		// absorb CI jitter, and the OCCLUM_BENCH_REGRESS gate holds
-		// the 2x line on medians. The socket path is noisier (the
-		// host-side drain goroutine shares the clock), so its smoke
-		// bar is just clearly-above-scalar.
 		{"pipe writev", "pipe scalar", 1.5},
 		{"sock writev", "sock scalar", 1.2},
-	} {
-		vec, sc := byLabel[pair.vec], byLabel[pair.sc]
-		if len(vec) != len(chunks) || len(sc) != len(chunks) {
-			t.Fatalf("rows missing: %v", byLabel)
+		{"pipe→sock splice", "pipe scalar", 1.0},
+	}
+	const runs = 5
+	chunks := Quick().IPCChunks
+	// ratios[bar][chunk] collects one ratio per run.
+	ratios := make([][][]float64, len(bars))
+	for b := range ratios {
+		ratios[b] = make([][]float64, len(chunks))
+	}
+	for run := 0; run < runs; run++ {
+		tab, err := IPCBench(Quick())
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i, c := range chunks {
-			if vec[i] < sc[i]*pair.ratio {
-				t.Errorf("%s %.0f MB/s not ≥%.1fx %s %.0f MB/s at %d KiB",
-					pair.vec, vec[i], pair.ratio, pair.sc, sc[i], c>>10)
+		byLabel := map[string][]float64{}
+		for _, r := range tab.Rows {
+			byLabel[r.Label] = r.Values
+		}
+		for b, bar := range bars {
+			num, den := byLabel[bar.num], byLabel[bar.den]
+			if len(num) != len(chunks) || len(den) != len(chunks) {
+				t.Fatalf("rows missing: %v", byLabel)
+			}
+			for i := range chunks {
+				ratios[b][i] = append(ratios[b][i], num[i]/den[i])
 			}
 		}
 	}
-	spl, sc := byLabel["pipe→sock splice"], byLabel["pipe scalar"]
-	for i, c := range chunks {
-		if spl[i] < sc[i] {
-			t.Errorf("splice %.0f MB/s below pipe scalar %.0f MB/s at %d KiB",
-				spl[i], sc[i], c>>10)
+	for b, bar := range bars {
+		meds := make([]float64, len(chunks))
+		for i, c := range chunks {
+			rs := ratios[b][i]
+			sort.Float64s(rs)
+			meds[i] = rs[runs/2]
+			if meds[i] < bar.ratio {
+				t.Errorf("%s / %s at %d KiB: median %.2fx over %d runs, want ≥%.1fx (runs %.2f)",
+					bar.num, bar.den, c>>10, meds[i], runs, bar.ratio, rs)
+			}
 		}
+		t.Logf("%s / %s medians by chunk: %.2f", bar.num, bar.den, meds)
 	}
-	t.Logf("ipc MB/s: %v", byLabel)
 }
 
 // TestIPCBenchRegression holds the zero-copy data plane to the 2x

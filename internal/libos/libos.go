@@ -236,6 +236,16 @@ func Boot(platform *sgx.Platform, host *hostos.Host, cfg Config) (*Occlum, error
 				return nil, err
 			}
 		}
+		// EAdd's Map left the zero pages dirty; mark them clean so
+		// freeDomain scrubs only what a SIP actually writes.
+		if err := e.MarkClean(d.CodeBase, d.CodeSize); err != nil {
+			e.Destroy()
+			return nil, err
+		}
+		if err := e.MarkClean(d.DataBase, d.DataSize); err != nil {
+			e.Destroy()
+			return nil, err
+		}
 		o.domains = append(o.domains, d)
 		base += domSpan
 	}
@@ -403,19 +413,18 @@ func (o *Occlum) allocDomain() (*Domain, error) {
 	return nil, ErrNoDomains
 }
 
-func (o *Occlum) freeDomain(d *Domain) {
-	// Scrub both regions so the next SIP cannot observe stale data —
-	// inter-process isolation across domain reuse.
-	zero := make([]byte, mem.PageSize)
-	for off := uint64(0); off < d.CodeSize; off += mem.PageSize {
-		_ = o.enclave.WriteDirect(d.CodeBase+off, zero)
-	}
-	for off := uint64(0); off < d.DataSize; off += mem.PageSize {
-		_ = o.enclave.WriteDirect(d.DataBase+off, zero)
-	}
+// freeDomain scrubs both regions so the next SIP cannot observe stale
+// data — inter-process isolation across domain reuse — and returns the
+// domain to the pool. Only the pages written since the domain was last
+// scrubbed hold anything to scrub (mem.Paged.ZeroDirty), so the cost is
+// O(pages written), not O(domain size). It returns the pages zeroed.
+func (o *Occlum) freeDomain(d *Domain) int {
+	n := o.enclave.ZeroDirty(d.CodeBase, d.CodeSize) +
+		o.enclave.ZeroDirty(d.DataBase, d.DataSize)
 	o.mu.Lock()
 	d.inUse = false
 	o.mu.Unlock()
+	return n
 }
 
 // readUserString copies a NUL-free string of length n from user memory,

@@ -60,6 +60,9 @@ type Proc struct {
 	exited bool
 	status int
 	done   chan struct{}
+	// scrubbed is how many domain pages teardown zeroed; written
+	// before done closes.
+	scrubbed int
 
 	// Cycles consumed (for diagnostics and /proc; read concurrently).
 	cycles atomic.Uint64
@@ -354,7 +357,7 @@ func (p *Proc) teardown(status int) {
 		p.blocked = nil
 	}
 	p.fds.CloseAll()
-	p.os.freeDomain(p.dom)
+	p.scrubbed = p.os.freeDomain(p.dom)
 
 	o := p.os
 	o.mu.Lock()

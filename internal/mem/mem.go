@@ -36,6 +36,19 @@ const (
 	PermRWX = PermR | PermW | PermX
 )
 
+// permClean is a hidden bit of the per-page permission word, above the
+// eight bits a Perm can hold, so every Perm(word) conversion drops it.
+// Set, it promises that the page's bytes are all zero, which lets
+// ZeroDirty scrub in O(pages written) instead of O(range size).
+// MarkClean sets it, and ZeroDirty re-sets it on the pages it zeroes.
+// Every path that writes page bytes clears it before the bytes land:
+// the Store slow path, WriteAt, ViewBytes with AccessWrite (at loan
+// time) and WriteDirect. Map replaces the whole word, so a remapped
+// page counts as dirty. The Store fast path tests PermW|permClean in
+// its one compare, so only the first store to a clean page takes the
+// slow path. Memories that never call MarkClean never see the bit.
+const permClean uint32 = 1 << 8
+
 // String renders the permission like "rwx".
 func (p Perm) String() string {
 	s := []byte("---")
@@ -101,10 +114,11 @@ var ErrRange = errors.New("mem: address out of range")
 type Paged struct {
 	base uint64
 	data []byte
-	// perms holds one permission word per page; 0 means unmapped. The
-	// elements are atomic because SIP harts in one enclave share a Paged
-	// with the LibOS: a hart's permission check (check, stampExec) can
-	// race a concurrent Map from another thread.
+	// perms holds one permission word per page: a Perm in the low byte
+	// (0 means unmapped) plus the permClean bit. The elements are
+	// atomic because SIP harts in one enclave share a Paged with the
+	// LibOS: a hart's permission check (check, stampExec) can race a
+	// concurrent Map from another thread.
 	perms []atomic.Uint32
 	// wx counts pages currently mapped writable+executable. While it is
 	// zero — the overwhelmingly common case outside the loader — no
@@ -310,7 +324,8 @@ func (m *Paged) pageIndex(addr uint64) int { return int((addr - m.base) / PageSi
 
 // Map sets the permission of every page overlapping [addr, addr+n) to
 // perm. Mapping with perm 0 unmaps the pages. addr and n need not be
-// page-aligned; the whole overlapped pages are affected.
+// page-aligned; the whole overlapped pages are affected. The new word
+// carries no permClean bit: a remapped page is treated as dirty.
 func (m *Paged) Map(addr uint64, n uint64, perm Perm) error {
 	if n == 0 {
 		return nil
@@ -445,7 +460,7 @@ func (m *Paged) Store(addr uint64, n int, v uint64) *Fault {
 	// concurrent Map made the page executable in between.
 	if n == 8 {
 		if pg, ok := m.inOnePage(off, 8); ok {
-			if Perm(m.perms[pg].Load())&PermW != 0 {
+			if m.perms[pg].Load()&(uint32(PermW)|permClean) == uint32(PermW) {
 				b := m.data[off : off+8]
 				b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
 				b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
@@ -455,17 +470,19 @@ func (m *Paged) Store(addr uint64, n int, v uint64) *Fault {
 		}
 	} else if n == 1 {
 		if pg, ok := m.inOnePage(off, 1); ok {
-			if Perm(m.perms[pg].Load())&PermW != 0 {
+			if m.perms[pg].Load()&(uint32(PermW)|permClean) == uint32(PermW) {
 				m.data[off] = byte(v)
 				m.stampExec(addr, n)
 				return nil
 			}
 		}
 	}
-	// Slow path: cross-page accesses and fault materialization.
+	// Slow path: cross-page accesses, first stores to clean pages and
+	// fault materialization.
 	if f := m.check(addr, n, AccessWrite); f != nil {
 		return f
 	}
+	m.markDirty(addr, uint64(n))
 	if n == 1 {
 		m.data[off] = byte(v)
 	} else {
@@ -512,6 +529,7 @@ func (m *Paged) WriteAt(addr uint64, b []byte) *Fault {
 	if f := m.check(addr, len(b), AccessWrite); f != nil {
 		return f
 	}
+	m.markDirty(addr, uint64(len(b)))
 	copy(m.data[addr-m.base:], b)
 	m.stampExec(addr, len(b))
 	return nil
@@ -572,6 +590,11 @@ func (m *Paged) ViewBytes(addr uint64, n int, access Access) (View, *Fault) {
 	if f := m.check(addr, n, access); f != nil {
 		return View{}, f
 	}
+	if access == AccessWrite {
+		// The holder may write anywhere in B until CommitWrite, so the
+		// whole span is dirty from the moment it is lent.
+		m.markDirty(addr, uint64(n))
+	}
 	off := addr - m.base
 	return View{
 		B:    m.data[off : off+uint64(n) : off+uint64(n)],
@@ -630,7 +653,67 @@ func (m *Paged) WriteDirect(addr uint64, b []byte) error {
 	if len(b) == 0 {
 		return nil
 	}
+	m.markDirty(addr, uint64(len(b)))
 	copy(m.data[addr-m.base:], b)
 	m.stamp(m.pageIndex(addr), m.pageIndex(addr+uint64(len(b))-1))
 	return nil
+}
+
+// markDirty clears permClean on every page overlapping [addr, addr+n),
+// which the caller has already range-checked. Write paths call it
+// before their bytes land. The plain load first keeps pages that are
+// already dirty — all but the first write to a page — free of atomic
+// read-modify-writes.
+func (m *Paged) markDirty(addr, n uint64) {
+	first, last := m.pageIndex(addr), m.pageIndex(addr+n-1)
+	for i := first; i <= last; i++ {
+		if m.perms[i].Load()&permClean != 0 {
+			m.perms[i].And(^permClean)
+		}
+	}
+}
+
+// MarkClean declares every page overlapping [addr, addr+n) to hold only
+// zero bytes, so ZeroDirty skips it until something writes it. The
+// caller vouches for the zeros (freshly added pages, say); the
+// permissions are left as they are.
+func (m *Paged) MarkClean(addr, n uint64) error {
+	if n == 0 {
+		return nil
+	}
+	if !m.Contains(addr, 1) || !m.Contains(addr+n-1, 1) {
+		return fmt.Errorf("%w: mark clean [%#x,+%#x)", ErrRange, addr, n)
+	}
+	for i, last := m.pageIndex(addr), m.pageIndex(addr+n-1); i <= last; i++ {
+		m.perms[i].Or(permClean)
+	}
+	return nil
+}
+
+// ZeroDirty zeroes every page overlapping [addr, addr+n) that has been
+// written since it was last marked clean, marks it clean again, and
+// returns how many pages it zeroed. Each zeroed page is stamped like a
+// WriteDirect, so translated blocks and loans over it are invalidated
+// exactly as a full overwrite would invalidate them; clean pages are
+// neither touched nor stamped. The caller must own the range: nothing
+// may write it concurrently (for a domain, its SIP has exited). An
+// out-of-range span panics: a scrub must never silently do nothing.
+func (m *Paged) ZeroDirty(addr, n uint64) int {
+	if n == 0 {
+		return 0
+	}
+	if !m.Contains(addr, 1) || !m.Contains(addr+n-1, 1) {
+		panic(fmt.Sprintf("mem: zero dirty [%#x,+%#x) out of range", addr, n))
+	}
+	zeroed := 0
+	for i, last := m.pageIndex(addr), m.pageIndex(addr+n-1); i <= last; i++ {
+		if m.perms[i].Load()&permClean != 0 {
+			continue
+		}
+		clear(m.data[i*PageSize : (i+1)*PageSize])
+		m.stamp(i, i)
+		m.perms[i].Or(permClean)
+		zeroed++
+	}
+	return zeroed
 }
