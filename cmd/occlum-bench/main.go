@@ -3,27 +3,19 @@
 //
 // Usage:
 //
-//	occlum-bench [-scale quick|full] [-vmstats] [-schedstats] [-netstats] [-fsstats] [-cpuprofile f] [-memprofile f] [experiment ...]
+//	occlum-bench [-scale quick|full] [-stats] [-cpuprofile f] [-memprofile f] [experiment ...]
 //
 // With no arguments, all experiments run. Experiments: fig5a fig5b fig5c
-// fig6a fig6b fig6c fig6d fig7a fig7b ripe table1 c10k fsbench. With -vmstats,
-// each experiment also reports the OVM translation-cache counters
-// (blocks decoded, hits, misses, flushes, chained transitions,
-// threaded-dispatch instructions, superblocks formed, trace
-// hits/exits, instructions retired inside traces, return-address-stack
-// hits, and indirect-jump inline-cache hits/misses) aggregated over
-// every simulated hart, with trace hits distinguished from block hits.
-// With -schedstats, each experiment reports the M:N scheduler counters
-// (parks, unparks, steals, preemptions, yields and hart utilization)
-// aggregated over every Occlum hart pool. With -netstats, each
-// experiment reports the readiness-path counters (recv/send/accept
-// parks, poll/epoll_wait calls and parks, EAGAIN returns) plus the
-// timer-wheel and backpressure counters (wheel arms/fires/cancels/
-// cascades, idle-reaped and shed connections, suppressed stale timer
-// wakes). With
-// -fsstats, each experiment reports the filesystem counters (image
-// blocks Merkle-verified, verified-cache hits, read-aheads, copy-ups,
-// whiteouts).
+// fig6a fig6b fig6c fig6d fig7a fig7b ripe table1 c10k fsbench recovery
+// ipcbench. With -stats, each experiment also reports the counters of
+// four layers, each aggregated over every instance of the layer (see
+// bench.Stats): vm (OVM translation-cache counters: blocks, hits,
+// chaining, threaded dispatch, traces, RAS and inline caches), sched
+// (M:N scheduler parks, unparks, steals, preemptions, yields, hart
+// utilization), net (readiness-path parks, poll/epoll calls, EAGAINs,
+// zero-copy ledgers, timer-wheel and backpressure counters) and fs
+// (image blocks Merkle-verified, verified-cache hits, read-aheads,
+// copy-ups, whiteouts, scrubbed blocks, repaired/rebuilt shards).
 // -cpuprofile and -memprofile write pprof profiles covering the
 // selected experiments, so interpreter-perf work can profile the hot
 // path without editing code (the memory profile is written at exit,
@@ -50,17 +42,11 @@ func main() {
 
 func realMain() int {
 	scaleName := flag.String("scale", "quick", "experiment scale: quick or full")
-	vmStats := flag.Bool("vmstats", false, "report OVM translation-cache counters per experiment")
-	schedStats := flag.Bool("schedstats", false, "report M:N scheduler counters per experiment")
-	netStats := flag.Bool("netstats", false, "report readiness/network counters per experiment")
-	fsStats := flag.Bool("fsstats", false, "report filesystem counters (verify/copy-up/read-ahead) per experiment")
+	stats := flag.Bool("stats", false, "report vm, sched, net and fs counters per experiment")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to `file` at exit")
 	flag.Parse()
-	bench.VMStats = *vmStats
-	bench.SchedStats = *schedStats
-	bench.NetStats = *netStats
-	bench.FSStats = *fsStats
+	bench.Stats = *stats
 
 	var scale bench.Scale
 	switch *scaleName {

@@ -18,70 +18,56 @@ var Experiments = []string{
 	"ripe", "table1", "c10k", "fsbench", "recovery", "ipcbench",
 }
 
-// VMStats, when true, makes Run report the OVM translation-cache
-// counters (blocks decoded, hits, misses, flushes, chained
-// transitions, threaded-dispatch instructions, superblocks formed,
-// trace hits/exits and instructions retired inside traces, RAS hits,
-// and indirect-jump inline-cache hits/misses) accumulated across
-// every simulated hart during each experiment. Trace hits are counted
-// separately from block hits, so the split between the two dispatch
-// tiers is visible per experiment. Enabled by occlum-bench -vmstats.
-var VMStats bool
-
-// SchedStats, when true, makes Run report the M:N scheduler counters
-// (parks, unparks, steals, preemptions, hart utilization) accumulated
-// across every Occlum hart pool during each experiment. Enabled by
-// occlum-bench -schedstats. The baselines run no scheduler, so their
-// experiments contribute zeros.
-var SchedStats bool
-
-// NetStats, when true, makes Run report the readiness-path counters
-// (recv/send/accept parks, poll and epoll_wait calls and parks, EAGAIN
-// returns) plus the timer-wheel and backpressure counters (wheel
-// arms/fires/cancels/cascades, idle-reaped connections, shed
-// connections, suppressed stale timer wakes) accumulated across every
-// LibOS instance during each experiment. Enabled by occlum-bench
-// -netstats.
-var NetStats bool
-
-// FSStats, when true, makes Run report the filesystem counters (image
-// blocks Merkle-verified, verified-cache hits, read-aheads, copy-ups,
-// whiteouts, plus the self-healing store's scrubbed blocks and
-// repaired/rebuilt shards) accumulated across every mounted filesystem
-// during each experiment. Enabled by occlum-bench -fsstats.
-var FSStats bool
+// Stats, when true, makes Run report the counters of four layers per
+// experiment, each accumulated across every instance of the layer
+// during the experiment (enabled by occlum-bench -stats):
+//
+//   - vm: the OVM translation-cache counters of every simulated hart —
+//     blocks decoded, hits, misses, flushes, chained transitions,
+//     threaded-dispatch instructions, superblocks formed, trace
+//     hits/exits and instructions retired inside traces, RAS hits, and
+//     indirect-jump inline-cache hits/misses. Trace hits are counted
+//     apart from block hits, so the split between the two dispatch
+//     tiers is visible.
+//   - sched: the M:N scheduler counters of every Occlum hart pool —
+//     parks, unparks, steals, preemptions, yields, hart utilization.
+//     The baselines run no scheduler, so they contribute zeros.
+//   - net: the readiness-path counters of every LibOS instance —
+//     recv/send/accept parks, poll and epoll_wait calls and parks,
+//     EAGAIN returns, the zero-copy ledgers — plus the timer-wheel and
+//     backpressure counters (wheel arms/fires/cancels/cascades,
+//     idle-reaped and shed connections, suppressed stale timer wakes).
+//   - fs: the counters of every mounted filesystem — image blocks
+//     Merkle-verified, verified-cache hits, read-aheads, copy-ups,
+//     whiteouts, and the self-healing store's scrubbed blocks and
+//     repaired/rebuilt shards.
+var Stats bool
 
 // Run executes one named experiment at the given scale, printing its
 // table to w.
 func Run(name string, s Scale, w io.Writer) error {
-	if VMStats {
+	if Stats {
 		vm.ResetGlobalCacheStats()
 	}
 	before := sched.GlobalSnapshot()
 	netBefore := libos.NetStats()
 	fsBefore := fs.Stats()
 	err := run(name, s, w)
-	if err == nil && VMStats {
+	if err == nil && Stats {
 		fmt.Fprintf(w, "  [vm cache: %v]\n", vm.GlobalCacheStats())
-	}
-	if err == nil && SchedStats {
 		d := sched.GlobalSnapshot().Sub(before)
 		fmt.Fprintf(w, "  [sched: tasks=%d slices=%d parks=%d unparks=%d steals=%d preempts=%d (%d requested) yields=%d hart-util=%.1f%%]\n",
 			d.Tasks, d.Slices, d.Parks, d.Unparks, d.Steals, d.Preempts, d.PreemptReqs, d.Yields, 100*d.Utilization())
-	}
-	if err == nil && NetStats {
-		d := libos.NetStats().Sub(netBefore)
+		n := libos.NetStats().Sub(netBefore)
 		fmt.Fprintf(w, "  [net: recv-parks=%d send-parks=%d accept-parks=%d polls=%d (%d parked) epwaits=%d (%d parked) eagains=%d writevs=%d readvs=%d sendfiles=%d splices=%d lent=%d copied=%d]\n",
-			d.RecvParks, d.SendParks, d.AcceptParks, d.Polls, d.PollParks, d.EpWaits, d.EpWaitParks, d.EAgains,
-			d.Writevs, d.Readvs, d.Sendfiles, d.Splices, d.BytesLent, d.BytesCopied)
+			n.RecvParks, n.SendParks, n.AcceptParks, n.Polls, n.PollParks, n.EpWaits, n.EpWaitParks, n.EAgains,
+			n.Writevs, n.Readvs, n.Sendfiles, n.Splices, n.BytesLent, n.BytesCopied)
 		fmt.Fprintf(w, "  [net/timers: wheel-arms=%d fires=%d cancels=%d cascades=%d reaps=%d sheds=%d stale-wakes=%d]\n",
-			d.WheelArms, d.WheelFires, d.WheelCancels, d.WheelCascades, d.Reaps, d.Sheds, d.StaleWakes)
-	}
-	if err == nil && FSStats {
-		d := fs.Stats().Sub(fsBefore)
+			n.WheelArms, n.WheelFires, n.WheelCancels, n.WheelCascades, n.Reaps, n.Sheds, n.StaleWakes)
+		f := fs.Stats().Sub(fsBefore)
 		fmt.Fprintf(w, "  [fs: verified=%d verify-hits=%d read-aheads=%d copy-ups=%d whiteouts=%d scrubbed=%d repaired=%d rebuilt=%d]\n",
-			d.VerifiedBlocks, d.VerifyHits, d.ReadAheads, d.CopyUps, d.Whiteouts,
-			d.ScrubbedBlocks, d.RepairedShards, d.RebuiltShards)
+			f.VerifiedBlocks, f.VerifyHits, f.ReadAheads, f.CopyUps, f.Whiteouts,
+			f.ScrubbedBlocks, f.RepairedShards, f.RebuiltShards)
 	}
 	return err
 }

@@ -14,7 +14,7 @@ import (
 // syscalls), the integrity-verified image layer (cold first read paying
 // Merkle verification + read-ahead vs. warm re-read from the verified
 // page cache), and an open/stat metadata storm across both layers of
-// the union root. Run with -fsstats to see the verify/copy-up/read-ahead
+// the union root. Run with -stats to see the verify/copy-up/read-ahead
 // counters behind the numbers.
 func FSBench(s Scale) (*Table, error) {
 	total, buf := s.FSBenchTotal, s.FSBenchBuf

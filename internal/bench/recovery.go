@@ -14,7 +14,7 @@ import (
 // in passing), how fast an offline Repair rebuilds a lost backing file,
 // and what a scrub pass costs when the store is clean versus when host
 // bit-rot has to be found and rewritten. Shards-healed counts come from
-// the filesystem stat counters, so -fsstats shows the same numbers.
+// the filesystem stat counters, so -stats shows the same numbers.
 func Recovery(s Scale) (*Table, error) {
 	blocks := s.FSBenchTotal / fs.BlockSize
 	if blocks < 8 {

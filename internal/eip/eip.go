@@ -29,6 +29,7 @@ import (
 	"repro/internal/mem"
 	"repro/internal/oelf"
 	"repro/internal/sgx"
+	"repro/internal/sysdispatch"
 	"repro/internal/vm"
 )
 
@@ -125,9 +126,7 @@ type Proc struct {
 	encl *sgx.Enclave
 	cpu  *vm.CPU
 
-	fdmu   sync.Mutex
-	fds    map[int]fdesc
-	nextFD int
+	fds *sysdispatch.FDTable
 
 	heapPtr, heapEnd   uint64
 	dataBase, dataSize uint64
@@ -135,14 +134,16 @@ type Proc struct {
 	exited bool
 	status int
 	done   chan struct{}
-	cycles uint64
 }
 
 // PID returns the process id.
 func (p *Proc) PID() int { return p.pid }
 
-// Cycles returns retired instructions.
-func (p *Proc) Cycles() uint64 { return p.cycles }
+// PPID returns the parent process id.
+func (p *Proc) PPID() int { return p.ppid }
+
+// Cycles returns retired instructions (final once Wait returns).
+func (p *Proc) Cycles() uint64 { return p.cpu.Cycles }
 
 // Wait blocks for exit.
 func (p *Proc) Wait() int {
@@ -265,7 +266,7 @@ func (g *Graphene) Spawn(path string, argv []string, opt SpawnOpt) (*Proc, error
 	g.nextPID++
 	p := &Proc{
 		g: g, pid: pid, encl: encl, cpu: vm.New(encl.Paged),
-		fds: make(map[int]fdesc), nextFD: 3,
+		fds:      sysdispatch.NewFDTable(),
 		dataBase: dataBase, dataSize: dataSize,
 		done: make(chan struct{}),
 	}
@@ -278,24 +279,17 @@ func (g *Graphene) Spawn(path string, argv []string, opt SpawnOpt) (*Proc, error
 	// fd inheritance: descriptors are re-established in the child; pipe
 	// ends keep flowing through their (encrypted) untrusted queues.
 	if opt.Parent != nil {
-		opt.Parent.fdmu.Lock()
-		for fd, d := range opt.Parent.fds {
-			p.fds[fd] = d.clone()
-			if fd >= p.nextFD {
-				p.nextFD = fd + 1
-			}
-		}
-		opt.Parent.fdmu.Unlock()
+		p.fds.InheritFrom(opt.Parent.fds)
 	} else {
-		p.fds[0] = wrapOF(opt.Stdin)
-		p.fds[1] = wrapOF(opt.Stdout)
-		p.fds[2] = wrapOF(opt.Stderr)
+		libos.SetStdio(p.fds, opt.Stdin, opt.Stdout, opt.Stderr)
 	}
 
 	_, _, err = libos.SetupUserStack(encl.Paged, p.cpu, codeBase-mem.PageSize,
 		dataBase, dataSize, g.cfg.StackSize, img.MinDataSize(), append([]string{path}, argv...))
 	if err != nil {
-		encl.Destroy()
+		// Tear the half-built child down, as libos.Spawn does: it
+		// already holds a pid, inherited fd references and the enclave.
+		p.exit(127)
 		return nil, err
 	}
 	p.heapPtr = dataBase + (img.MinDataSize()+15)/16*16
@@ -316,30 +310,13 @@ func encodeSpawnState(path string, argv []string) []byte {
 }
 
 func (p *Proc) run() {
-	for {
-		stop := p.cpu.Run(p.g.cfg.CycleSlice)
-		p.cycles = p.cpu.Cycles
-		switch stop.Reason {
-		case vm.StopCycles:
-			continue
-		case vm.StopTrap:
-			if p.syscall() {
-				return
-			}
-		default:
-			p.exit(128 + libos.SIGSEGV)
-			return
-		}
+	if sysdispatch.RunBlocking(sysTable, p, p.cpu, p.g.cfg.CycleSlice) {
+		p.exit(128 + libos.SIGSEGV)
 	}
 }
 
 func (p *Proc) exit(status int) {
-	p.fdmu.Lock()
-	for fd, d := range p.fds {
-		d.close()
-		delete(p.fds, fd)
-	}
-	p.fdmu.Unlock()
+	p.fds.CloseAll()
 	p.encl.Destroy()
 	g := p.g
 	g.mu.Lock()

@@ -8,8 +8,6 @@ import (
 	"errors"
 	"io"
 	"sync"
-
-	"repro/internal/libos"
 )
 
 // seal encrypts-and-authenticates data with AES-GCM under a key derived
@@ -48,39 +46,28 @@ func open(key32 [32]byte, ad, sealed []byte) ([]byte, error) {
 	return gcm.Open(nil, sealed[:gcm.NonceSize()], sealed[gcm.NonceSize():], ad)
 }
 
-// fdesc is an EIP file descriptor.
-type fdesc interface {
-	read(p []byte) (int, error)
-	write(p []byte) (int, error)
-	close()
-	clone() fdesc
-}
-
-// ofFD adapts a libos.OpenFile (writer stdio, discard, host sockets).
-type ofFD struct{ of *libos.OpenFile }
-
-func wrapOF(of *libos.OpenFile) fdesc {
-	if of == nil {
-		of = libos.NewDiscardFile()
-	} else {
-		of.Ref()
-	}
-	return &ofFD{of: of}
-}
-
-func (d *ofFD) read(p []byte) (int, error)  { return d.of.Read(p) }
-func (d *ofFD) write(p []byte) (int, error) { return d.of.Write(p) }
-func (d *ofFD) close()                      { d.of.Unref() }
-func (d *ofFD) clone() fdesc                { d.of.Ref(); return &ofFD{of: d.of} }
+// Errors of the EIP descriptions. lseek is not modeled (the table
+// answers ENOSYS), so Seek, which sysdispatch.File requires, always
+// fails — the shared lseek handler would turn that into ESPIPE.
+var (
+	errReadOnly = errors.New("eip: read-only filesystem")
+	errNoSeek   = errors.New("eip: descriptor is not seekable")
+)
 
 // roFile is an open read-only protected file, fully unsealed at open (the
-// per-open decryption cost of protected files).
+// per-open decryption cost of protected files). Descriptors sharing it
+// through dup2 or spawn inheritance share its offset, as POSIX open
+// file descriptions do; it holds no host resource, so references need
+// no counting.
 type roFile struct {
+	mu   sync.Mutex
 	data []byte
 	off  int
 }
 
-func (d *roFile) read(p []byte) (int, error) {
+func (d *roFile) Read(p []byte) (int, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.off >= len(d.data) {
 		return 0, io.EOF
 	}
@@ -88,9 +75,10 @@ func (d *roFile) read(p []byte) (int, error) {
 	d.off += n
 	return n, nil
 }
-func (d *roFile) write([]byte) (int, error) { return 0, errors.New("eip: read-only filesystem") }
-func (d *roFile) close()                    {}
-func (d *roFile) clone() fdesc              { return &roFile{data: d.data} }
+func (d *roFile) Write([]byte) (int, error)      { return 0, errReadOnly }
+func (d *roFile) Seek(int64, int) (int64, error) { return 0, errNoSeek }
+func (d *roFile) Ref()                           {}
+func (d *roFile) Unref()                         {}
 
 // encPipe is the EIP pipe: a queue of AES-GCM sealed messages standing in
 // untrusted memory between two enclaves. Every write seals; every read
@@ -115,12 +103,14 @@ func newEncPipe(key [32]byte) *encPipe {
 	return ep
 }
 
+// encPipeEnd is one end of an encPipe. Descriptors duplicated or
+// inherited from one end share the value; Ref and Unref count them.
 type encPipeEnd struct {
 	p       *encPipe
 	writing bool
 }
 
-func (e *encPipeEnd) read(p []byte) (int, error) {
+func (e *encPipeEnd) Read(p []byte) (int, error) {
 	if e.writing {
 		return 0, errors.New("eip: write end")
 	}
@@ -153,7 +143,7 @@ func (e *encPipeEnd) read(p []byte) (int, error) {
 
 const encPipeMaxQueue = 64
 
-func (e *encPipeEnd) write(p []byte) (int, error) {
+func (e *encPipeEnd) Write(p []byte) (int, error) {
 	if !e.writing {
 		return 0, errors.New("eip: read end")
 	}
@@ -174,7 +164,22 @@ func (e *encPipeEnd) write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func (e *encPipeEnd) close() {
+func (e *encPipeEnd) Seek(int64, int) (int64, error) { return 0, errNoSeek }
+
+// Ref counts one more descriptor on this end (dup2, spawn inheritance).
+func (e *encPipeEnd) Ref() {
+	ep := e.p
+	ep.mu.Lock()
+	if e.writing {
+		ep.writers++
+	} else {
+		ep.readers++
+	}
+	ep.mu.Unlock()
+}
+
+// Unref drops a descriptor; the end closes when its last one goes.
+func (e *encPipeEnd) Unref() {
 	ep := e.p
 	ep.mu.Lock()
 	if e.writing {
@@ -190,16 +195,4 @@ func (e *encPipeEnd) close() {
 	}
 	ep.cond.Broadcast()
 	ep.mu.Unlock()
-}
-
-func (e *encPipeEnd) clone() fdesc {
-	ep := e.p
-	ep.mu.Lock()
-	if e.writing {
-		ep.writers++
-	} else {
-		ep.readers++
-	}
-	ep.mu.Unlock()
-	return &encPipeEnd{p: ep, writing: e.writing}
 }

@@ -3,7 +3,7 @@ package fs
 import "sync/atomic"
 
 // fsStats holds the package-global filesystem counters reported by
-// occlum-bench -fsstats. They are cumulative across every mounted
+// occlum-bench -stats. They are cumulative across every mounted
 // filesystem in the process (like the scheduler and net counters), so
 // benchmarks snapshot before/after and subtract.
 var fsStats struct {

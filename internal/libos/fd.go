@@ -10,6 +10,7 @@ import (
 	"repro/internal/fs"
 	"repro/internal/hostos"
 	"repro/internal/ring"
+	"repro/internal/sysdispatch"
 	"repro/internal/timerwheel"
 )
 
@@ -375,53 +376,84 @@ func (n *writerNode) WriteAt(p []byte, _ int64) (int, error) {
 func (n *writerNode) Size() int64  { return 0 }
 func (n *writerNode) Close() error { return nil }
 
-// NewSocketFile creates an unconnected socket description (shared with
-// the baseline kernels).
-func NewSocketFile() *OpenFile { return &OpenFile{refs: 1, kind: kindSock} }
-
-// BindHost turns a socket into a listener on the host loopback network.
-func (of *OpenFile) BindHost(h *hostos.Host, port uint16) error {
-	if of.kind != kindSock {
-		return errors.New("libos: not a socket")
-	}
-	lis, err := h.Listen(port)
-	if err != nil {
-		return err
-	}
-	of.mu.Lock()
-	of.kind = kindListener
-	of.lis = lis
-	of.port = port
-	of.mu.Unlock()
-	return nil
+// RegisterSockets registers the socket syscalls every kernel shares —
+// socket(2), bind(2), listen(2), connect(2) — plus the kernel's own
+// accept(2): sysAccept parks a SIP, BlockingAccept blocks a baseline
+// process's goroutine. host returns the caller's network substrate.
+func RegisterSockets(t *sysdispatch.Table, host func(sysdispatch.Kernel) *hostos.Host, accept sysdispatch.Handler) {
+	t.Register(SysSocket, sysdispatch.SocketHandler(func(sysdispatch.Kernel) sysdispatch.File {
+		return &OpenFile{refs: 1, kind: kindSock} // unconnected
+	}))
+	t.Register(SysBind, func(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
+		of, ok := fileOfKind(k, a[0], kindSock)
+		if !ok {
+			return sysdispatch.Errno(EBADF)
+		}
+		lis, err := host(k).Listen(uint16(a[1]))
+		if err != nil {
+			return sysdispatch.Errno(EACCES)
+		}
+		of.mu.Lock()
+		of.kind = kindListener
+		of.lis = lis
+		of.port = uint16(a[1])
+		of.mu.Unlock()
+		return sysdispatch.Ok(0)
+	})
+	t.Register(SysListen, sysdispatch.Listen)
+	t.Register(SysAccept, accept)
+	t.Register(SysConnect, func(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
+		of, ok := fileOfKind(k, a[0], kindSock)
+		if !ok {
+			return sysdispatch.Errno(EBADF)
+		}
+		conn, err := host(k).Dial(uint16(a[1]))
+		if err != nil {
+			return sysdispatch.Errno(ECONNREFUSED)
+		}
+		of.mu.Lock()
+		of.conn = conn
+		of.mu.Unlock()
+		return sysdispatch.Ok(0)
+	})
 }
 
-// AcceptHost blocks for an inbound connection and wraps it as a new
-// description.
-func (of *OpenFile) AcceptHost() (*OpenFile, error) {
-	if of.kind != kindListener {
-		return nil, errors.New("libos: not a listener")
+// BlockingAccept is accept(2) for the goroutine-per-process baselines:
+// it blocks until a connection is queued or the listener closes.
+func BlockingAccept(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
+	of, ok := fileOfKind(k, a[0], kindListener)
+	if !ok {
+		return sysdispatch.Errno(EBADF)
 	}
 	conn, err := of.lis.Accept()
 	if err != nil {
-		return nil, err
+		return sysdispatch.Errno(EIO)
 	}
-	return &OpenFile{refs: 1, kind: kindSock, conn: conn}, nil
+	return sysdispatch.Ok(int64(k.FDs().Install(&OpenFile{refs: 1, kind: kindSock, conn: conn})))
 }
 
-// ConnectHost dials a host loopback port.
-func (of *OpenFile) ConnectHost(h *hostos.Host, port uint16) error {
-	if of.kind != kindSock {
-		return errors.New("libos: not a socket")
+// fileOfKind looks fd up as an OpenFile of the given kind.
+func fileOfKind(k sysdispatch.Kernel, fd uint64, kind fileKind) (*OpenFile, bool) {
+	f, ok := k.FDs().Get(int(int64(fd)))
+	if !ok {
+		return nil, false
 	}
-	conn, err := h.Dial(port)
-	if err != nil {
-		return err
+	of, ok := f.(*OpenFile)
+	return of, ok && of.kind == kind
+}
+
+// SetStdio installs fds 0-2 of a parentless baseline process: each
+// given description gains a reference, and a nil one reads EOF and
+// discards writes.
+func SetStdio(t *sysdispatch.FDTable, stdio ...*OpenFile) {
+	for fd, of := range stdio {
+		if of == nil {
+			of = NewDiscardFile()
+		} else {
+			of.Ref()
+		}
+		t.Set(fd, of)
 	}
-	of.mu.Lock()
-	of.conn = conn
-	of.mu.Unlock()
-	return nil
 }
 
 // pipeBuf is the shared ring behind a pipe. It serves two waiting

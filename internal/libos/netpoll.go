@@ -28,7 +28,7 @@ import (
 
 // netStats counts readiness-path events across every LibOS instance in
 // the process (the net analog of sched.GlobalSnapshot), reported by
-// occlum-bench -netstats and asserted by the C10K smoke test.
+// occlum-bench -stats and asserted by the C10K smoke test.
 var netStats struct {
 	recvParks, sendParks, acceptParks atomic.Uint64
 	polls, pollParks                  atomic.Uint64

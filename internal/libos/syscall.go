@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/fs"
+	"repro/internal/hostos"
 	"repro/internal/sysdispatch"
 )
 
@@ -57,13 +58,7 @@ func newSysTable() *sysdispatch.Table {
 	}))
 	t.Register(SysRename, sysRename)
 	t.Register(SysReaddir, sysReaddir)
-	t.Register(SysSocket, sysdispatch.SocketHandler(func(sysdispatch.Kernel) sysdispatch.File {
-		return NewSocketFile()
-	}))
-	t.Register(SysBind, sysBind)
-	t.Register(SysListen, sysdispatch.Listen)
-	t.Register(SysAccept, sysAccept)
-	t.Register(SysConnect, sysConnect)
+	RegisterSockets(t, func(k sysdispatch.Kernel) *hostos.Host { return k.(*Proc).os.host }, sysAccept)
 	t.Register(SysClock, sysdispatch.Clock)
 	t.Register(SysFcntl, sysFcntl)
 	t.Register(SysPoll, sysPoll)
@@ -486,24 +481,6 @@ func sysReaddir(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 	return sysdispatch.Ok(int64(len(out)))
 }
 
-func sysBind(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-	p := k.(*Proc)
-	of, ok := p.getFD(int(int64(a[0])))
-	if !ok || of.kind != kindSock {
-		return sysdispatch.Errno(EBADF)
-	}
-	lis, err := p.os.host.Listen(uint16(a[1]))
-	if err != nil {
-		return sysdispatch.Errno(EACCES)
-	}
-	of.mu.Lock()
-	of.kind = kindListener
-	of.lis = lis
-	of.port = uint16(a[1])
-	of.mu.Unlock()
-	return sysdispatch.Ok(0)
-}
-
 // sysAccept parks the SIP until a connection is queued or the listener
 // closes — the paper's Lighttpd configuration runs more workers than
 // TCS entries only because a worker waiting in accept costs no hart. On
@@ -550,20 +527,4 @@ func sysAccept(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
 		}
 		return sysdispatch.Ok(int64(p.fds.Install(nf)))
 	}
-}
-
-func sysConnect(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-	p := k.(*Proc)
-	of, ok := p.getFD(int(int64(a[0])))
-	if !ok || of.kind != kindSock {
-		return sysdispatch.Errno(EBADF)
-	}
-	conn, err := p.os.host.Dial(uint16(a[1]))
-	if err != nil {
-		return sysdispatch.Errno(ECONNREFUSED)
-	}
-	of.mu.Lock()
-	of.conn = conn
-	of.mu.Unlock()
-	return sysdispatch.Ok(0)
 }

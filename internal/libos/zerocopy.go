@@ -4,7 +4,7 @@ package libos
 // read/write over guest-memory loans, sendfile from the ImageFS
 // verified page cache, and splice between pipe and socket rings.
 //
-// Copy discipline (the numbers -netstats reports as bytes-lent vs
+// Copy discipline (the numbers -stats reports as bytes-lent vs
 // bytes-copied):
 //
 //   - readv/writev lend the guest spans in place (mem.ViewBytes) and

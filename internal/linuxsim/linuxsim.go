@@ -95,7 +95,6 @@ type Proc struct {
 	exited bool
 	status int
 	done   chan struct{}
-	cycles uint64
 }
 
 // PID returns the process ID.
@@ -104,8 +103,8 @@ func (p *Proc) PID() int { return p.pid }
 // PPID returns the parent process ID.
 func (p *Proc) PPID() int { return p.ppid }
 
-// Cycles returns retired instructions.
-func (p *Proc) Cycles() uint64 { return p.cycles }
+// Cycles returns retired instructions (final once Wait returns).
+func (p *Proc) Cycles() uint64 { return p.cpu.Cycles }
 
 // ReadUser implements sysdispatch.Kernel: native processes have no
 // domain bounds, only page permissions.
@@ -210,18 +209,14 @@ func (l *Linux) Spawn(path string, argv []string, opt SpawnOpt) (*Proc, error) {
 	if opt.Parent != nil {
 		p.fds.InheritFrom(opt.Parent.fds)
 	} else {
-		for i, of := range []*libos.OpenFile{opt.Stdin, opt.Stdout, opt.Stderr} {
-			if of == nil {
-				of = libos.NewDiscardFile()
-			} else {
-				of.Ref()
-			}
-			p.fds.Set(i, of)
-		}
+		libos.SetStdio(p.fds, opt.Stdin, opt.Stdout, opt.Stderr)
 	}
 
 	if err := setupStack(p, as, base, img, append([]string{path}, argv...),
 		dataBase, dataSize, l.stackSize, &p.heapBase, &p.heapEnd); err != nil {
+		// Tear the half-built child down, as libos.Spawn does: it
+		// already holds a pid and references on the inherited fds.
+		p.exit(127)
 		return nil, err
 	}
 	p.heapPtr = p.heapBase
@@ -233,20 +228,8 @@ func (l *Linux) Spawn(path string, argv []string, opt SpawnOpt) (*Proc, error) {
 var errTooSmall = errors.New("linuxsim: address space too small")
 
 func (p *Proc) run() {
-	for {
-		stop := p.cpu.Run(p.l.slice)
-		p.cycles = p.cpu.Cycles
-		switch stop.Reason {
-		case vm.StopCycles, vm.StopPreempt:
-			continue
-		case vm.StopTrap:
-			if p.syscall() {
-				return
-			}
-		default:
-			p.exit(128 + libos.SIGSEGV)
-			return
-		}
+	if sysdispatch.RunBlocking(sysTable, p, p.cpu, p.l.slice) {
+		p.exit(128 + libos.SIGSEGV)
 	}
 }
 

@@ -3,6 +3,7 @@ package linuxsim_test
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"repro/internal/asm"
 	"repro/internal/core"
@@ -198,5 +199,51 @@ func TestBinaryCacheMakesSpawnFlat(t *testing.T) {
 		if st := p.Wait(); st != 0 {
 			t.Fatalf("status = %d", st)
 		}
+	}
+}
+
+// TestFailedSpawnLeavesNoChild: a guest can make spawn fail after the
+// child is registered — a 1 MiB argv block of NULs is ~1M empty args,
+// whose pointer array does not fit the child's data region. The child
+// must be torn down: wait4(-1) returns instead of blocking forever on a
+// child that never runs, and no pid stays live.
+func TestFailedSpawnLeavesNoChild(t *testing.T) {
+	l := linuxsim.New(hostos.New())
+	install(t, l, "/bin/true", buildProg(t, func(b *asm.Builder) {
+		b.Entry("_start")
+		ulib.Prologue(b)
+		ulib.Exit(b, 0)
+	}))
+	install(t, l, "/bin/spawner", buildProg(t, func(b *asm.Builder) {
+		b.String("path", "/bin/true")
+		b.Zero("argv", 1<<20)
+		b.Entry("_start")
+		ulib.Prologue(b)
+		ulib.SpawnPath(b, "path", 9, "argv", 1<<20)
+		b.CmpI(isa.R0, 0)
+		b.Jge("bad")
+		b.MovRI(isa.R6, -1)
+		ulib.Wait4(b, isa.R6)
+		ulib.Exit(b, 0)
+		b.Label("bad")
+		b.Nop()
+		ulib.Exit(b, 1)
+	}))
+	p, err := l.Spawn("/bin/spawner", nil, linuxsim.SpawnOpt{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan int, 1)
+	go func() { done <- p.Wait() }()
+	select {
+	case status := <-done:
+		if status != 0 {
+			t.Fatalf("status = %d: spawn with a 1M-entry argv succeeded", status)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("wait4(-1) blocked on the half-built child of a failed spawn")
+	}
+	if pids := l.Procs(); len(pids) != 0 {
+		t.Fatalf("failed spawn left live pids %v", pids)
 	}
 }

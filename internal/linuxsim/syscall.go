@@ -2,11 +2,9 @@ package linuxsim
 
 import (
 	"errors"
-	"runtime"
-	"sync"
 
 	"repro/internal/asm"
-	"repro/internal/isa"
+	"repro/internal/hostos"
 	"repro/internal/libos"
 	"repro/internal/mem"
 	"repro/internal/sysdispatch"
@@ -33,20 +31,14 @@ func setupStack(p *Proc, as *mem.Paged, base uint64, img *asm.Image, argv []stri
 // sysTable is the native baseline's registration into the shared syscall
 // spine. Where the LibOS parks, the baseline blocks: each native process
 // owns a goroutine (kernel threads are cheap outside an enclave), so the
-// spine's blocking read/write/wait handlers apply directly. Signals are
-// not modeled, so SysKill/SysSigact/SysSigret stay unregistered and
-// answer -ENOSYS from the table. Built lazily: the handlers close over
-// Spawn, whose process loop dispatches through the table, and a package
-// initializer would make that reference cycle ill-formed.
-var (
-	sysTableOnce sync.Once
-	sysTableVal  *sysdispatch.Table
-)
+// spine's blocking handlers apply directly. Signals are not modeled, so
+// SysKill/SysSigact/SysSigret stay unregistered and answer -ENOSYS from
+// the table. Built in init: the handlers close over Spawn, whose process
+// loop dispatches through the table, and a variable initializer would
+// make that reference cycle ill-formed.
+var sysTable *sysdispatch.Table
 
-func sysTable() *sysdispatch.Table {
-	sysTableOnce.Do(func() { sysTableVal = newSysTable() })
-	return sysTableVal
-}
+func init() { sysTable = newSysTable() }
 
 var errNoFile = errors.New("linuxsim: no such file")
 
@@ -88,49 +80,19 @@ func newSysTable() *sysdispatch.Table {
 	t.Register(libos.SysDup2, sysdispatch.Dup2FD)
 	t.Register(libos.SysGetpid, sysdispatch.Getpid)
 	t.Register(libos.SysGetppid, sysdispatch.Getppid)
-	t.Register(libos.SysMmap, func(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
+	t.Register(libos.SysMmap, sysdispatch.MmapHandler(func(k sysdispatch.Kernel) (*uint64, uint64) {
 		p := k.(*Proc)
-		length := (a[0] + 4095) &^ 4095
-		if p.heapPtr+length > p.heapEnd {
-			return sysdispatch.Errno(libos.ENOMEM)
-		}
-		addr := p.heapPtr
-		p.heapPtr += length
-		return sysdispatch.Ok(int64(addr))
-	})
+		return &p.heapPtr, p.heapEnd
+	}))
 	t.Register(libos.SysMunmap, sysdispatch.Munmap)
-	t.Register(libos.SysFutex, func(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-		return sysdispatch.Ok(k.(*Proc).sysFutex(a[0], a[1], a[2]))
-	})
-	t.Register(libos.SysSocket, sysdispatch.SocketHandler(func(sysdispatch.Kernel) sysdispatch.File {
-		return libos.NewSocketFile()
+	t.Register(libos.SysFutex, sysdispatch.BlockingFutex(func(k sysdispatch.Kernel) (*mem.Paged, *hostos.Host) {
+		p := k.(*Proc)
+		return p.cpu.Mem, p.l.host
 	}))
-	t.Register(libos.SysBind, withOF(func(p *Proc, of *libos.OpenFile, a *[5]uint64) int64 {
-		if err := of.BindHost(p.l.host, uint16(a[1])); err != nil {
-			return -libos.EACCES
-		}
-		return 0
-	}))
-	t.Register(libos.SysListen, sysdispatch.Listen)
-	t.Register(libos.SysAccept, withOF(func(p *Proc, of *libos.OpenFile, _ *[5]uint64) int64 {
-		nf, err := of.AcceptHost()
-		if err != nil {
-			return -libos.EIO
-		}
-		return int64(p.fds.Install(nf))
-	}))
-	t.Register(libos.SysConnect, withOF(func(p *Proc, of *libos.OpenFile, a *[5]uint64) int64 {
-		if err := of.ConnectHost(p.l.host, uint16(a[1])); err != nil {
-			return -libos.ECONNREFUSED
-		}
-		return 0
-	}))
+	libos.RegisterSockets(t, func(k sysdispatch.Kernel) *hostos.Host { return k.(*Proc).l.host }, libos.BlockingAccept)
 	t.Register(libos.SysLseek, sysdispatch.Lseek)
 	t.Register(libos.SysClock, sysdispatch.Clock)
-	t.Register(libos.SysYield, func(sysdispatch.Kernel, *[5]uint64) sysdispatch.Result {
-		runtime.Gosched()
-		return sysdispatch.Ok(0)
-	})
+	t.Register(libos.SysYield, sysdispatch.BlockingYield)
 	t.Register(libos.SysFsync, func(sysdispatch.Kernel, *[5]uint64) sysdispatch.Result {
 		return sysdispatch.Ok(0) // plaintext FS: no deferred integrity state
 	})
@@ -149,48 +111,6 @@ func newSysTable() *sysdispatch.Table {
 		return sysdispatch.Ok(0)
 	})
 	return t
-}
-
-// withOF adapts a handler over the baseline's socket descriptions
-// (which are libos.OpenFile, shared with the LibOS fd layer).
-func withOF(f func(p *Proc, of *libos.OpenFile, a *[5]uint64) int64) sysdispatch.Handler {
-	return func(k sysdispatch.Kernel, a *[5]uint64) sysdispatch.Result {
-		p := k.(*Proc)
-		file, ok := p.fds.Get(int(int64(a[0])))
-		if !ok {
-			return sysdispatch.Errno(libos.EBADF)
-		}
-		of, ok := file.(*libos.OpenFile)
-		if !ok {
-			return sysdispatch.Errno(libos.EBADF)
-		}
-		return sysdispatch.Ok(f(p, of, a))
-	}
-}
-
-// syscall dispatches one trap through the shared table. Returns true
-// when the process exited.
-func (p *Proc) syscall() bool {
-	// Pop the return address (no cfi_label requirement on native Linux).
-	sp := p.cpu.Regs[isa.SP]
-	retAddr, f := p.cpu.Mem.Load(sp, 8)
-	if f != nil {
-		p.exit(128 + libos.SIGSEGV)
-		return true
-	}
-	p.cpu.Regs[isa.SP] = sp + 8
-
-	a := [5]uint64{
-		p.cpu.Regs[isa.R1], p.cpu.Regs[isa.R2], p.cpu.Regs[isa.R3],
-		p.cpu.Regs[isa.R4], p.cpu.Regs[isa.R5],
-	}
-	res := sysTable().Dispatch(p, p.cpu.Regs[isa.R0], &a)
-	if res.Exited {
-		return true
-	}
-	p.cpu.Regs[isa.R0] = uint64(res.Ret)
-	p.cpu.PC = retAddr
-	return false
 }
 
 func (p *Proc) wait4(pid int) (int, int, int) {
@@ -217,24 +137,6 @@ func (p *Proc) wait4(pid int) (int, int, int) {
 		}
 		l.procCond.Wait()
 	}
-}
-
-func (p *Proc) sysFutex(op, addr, val uint64) int64 {
-	switch op {
-	case libos.FutexWait:
-		cur, f := p.cpu.Mem.Load(addr, 8)
-		if f != nil {
-			return -libos.EFAULT
-		}
-		if cur != val {
-			return -libos.EAGAIN
-		}
-		p.l.host.FutexWait(addr)
-		return 0
-	case libos.FutexWake:
-		return int64(p.l.host.FutexWake(addr, int(val)))
-	}
-	return -libos.EINVAL
 }
 
 // renamePlain moves a plaintext file (the flat-namespace rename of the

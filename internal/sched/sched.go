@@ -535,7 +535,7 @@ func (h *hart) push(g *G) {
 	h.mu.Unlock()
 }
 
-// --- Global aggregation (for occlum-bench -schedstats) -------------------
+// --- Global aggregation (for occlum-bench -stats) -------------------
 
 // Live schedulers are enumerated for GlobalSnapshot; a stopped
 // scheduler folds its final snapshot into the retired accumulator and

@@ -8,8 +8,8 @@ package vm
 // are recorded in BENCH_PR2.json and EXPERIMENTS.md.
 
 import (
-	"math"
 	"os"
+	"sort"
 	"testing"
 	"time"
 
@@ -146,7 +146,7 @@ func BenchmarkMultiBlockLoopNoTraces(b *testing.B) { benchTraces(b, false, Bench
 // and fails if either drops more than 20% below the speedup recorded in
 // BENCH_PR6.json. Heavy and timing-sensitive, so it only runs when
 // OCCLUM_BENCH_REGRESS=1 (the CI bench job sets it) and never under the
-// race detector.
+// race detector. Each program is judged on its median round.
 func TestTraceSpeedupRegression(t *testing.T) {
 	if os.Getenv("OCCLUM_BENCH_REGRESS") == "" {
 		t.Skip("set OCCLUM_BENCH_REGRESS=1 to run the bench smoke")
@@ -227,22 +227,26 @@ func TestTraceSpeedupRegression(t *testing.T) {
 		return float64(best.Nanoseconds())
 	}
 	for name, img := range imgs {
-		// Interleave the A and B sides and keep the best of several
-		// rounds of each: minimums are the noise-robust statistic for
-		// a single-threaded CPU-bound loop.
-		off, on := math.MaxFloat64, math.MaxFloat64
-		for round := 0; round < 3; round++ {
-			if d := measure(img, false); d < off {
-				off = d
-			}
-			if d := measure(img, true); d < on {
-				on = d
-			}
+		// Interleave the A and B sides and assert on the median of the
+		// per-round ratios: one round's ratio swings with whatever else
+		// the machine is running (a single best-of-rounds ratio failed
+		// about one run in four on a loaded 2-CPU box), the median of
+		// seven does not.
+		ratios := make([]float64, speedupRounds)
+		for round := range ratios {
+			off := measure(img, false)
+			ratios[round] = off / measure(img, true)
 		}
-		speedup := off / on
-		t.Logf("%s: trace speedup %.2fx (floor %.2fx)", name, speedup, baseline[name])
+		sort.Float64s(ratios)
+		speedup := ratios[len(ratios)/2]
+		t.Logf("%s: trace speedup %.2fx median of %d rounds (min %.2fx, max %.2fx; floor %.2fx)",
+			name, speedup, len(ratios), ratios[0], ratios[len(ratios)-1], baseline[name])
 		if speedup < baseline[name] {
 			t.Errorf("%s: trace speedup %.2fx regressed below %.2fx", name, speedup, baseline[name])
 		}
 	}
 }
+
+// speedupRounds is the number of interleaved off/on rounds whose median
+// ratio TestTraceSpeedupRegression asserts on.
+const speedupRounds = 7

@@ -10,17 +10,17 @@ package vm
 // state-for-state equality.
 //
 // Inside a block, PC and the cycle counter are dead state: the
-// dispatch loops in run and runNoBudget (vm.go) batch Cycles and
-// materialize PC only at block exit, so plain fall-through handlers
-// touch neither. The invariants that make the architectural state
-// exact at every observation point:
+// dispatch loop in run (vm.go) batches Cycles and materializes PC only
+// at block exit, so plain fall-through handlers touch neither. The
+// invariants that make the architectural state exact at every
+// observation point:
 //
 //   - control-transfer handlers set PC themselves (they are always the
 //     last instruction of a block);
 //   - stopping handlers restore PC before raising (pageFaultPC etc.
 //     leave PC at the faulting instruction, halted at its successor,
 //     matching exec);
-//   - the dispatch loops add the retired-instruction count (including
+//   - the dispatch loop adds the retired-instruction count (including
 //     a stopping instruction) to Cycles on every exit path.
 
 import (

@@ -185,8 +185,8 @@ func TestRandomizedStepMatchesRun(t *testing.T) {
 }
 
 // TestRandomizedRunToCompletion re-runs a subset of seeds with no
-// budget at all (the runNoBudget loop with fused tails) against Step,
-// stopping runaway programs by injecting a halt... they cannot be
+// budget at all (Run(0): the budget never clips, so fused tails and
+// whole traces run) against Step, stopping runaway programs by injecting a halt... they cannot be
 // stopped externally, so instead compare only programs that stop on
 // their own within the cycle cap under the budgeted loop first.
 func TestRandomizedRunToCompletion(t *testing.T) {
@@ -301,8 +301,8 @@ func diffDriveSliced(t *testing.T, seed int64, mk func() *CPU, dataBase uint64, 
 	diffCompareAt(t, seed, fast, slow, dataBase, dataSize)
 }
 
-// diffDriveFull drives fast with no budget (the fused runNoBudget loop,
-// where traces chain freely) against a bounded Step loop.
+// diffDriveFull drives fast with no budget (Run(0): fused tails, and
+// traces chain freely) against a bounded Step loop.
 func diffDriveFull(t *testing.T, seed int64, mk func() *CPU, dataBase uint64, dataSize int) {
 	t.Helper()
 	fast, slow := mk(), mk()

@@ -2,7 +2,7 @@ package vm
 
 // Directed tests for the trace tier: superblock formation shape, the
 // guard-predicate algebra (pinned to the reference isa.Op.EvalCond
-// semantics), the -vmstats counter plumbing, invalidation against
+// semantics), the -stats counter plumbing, invalidation against
 // page remaps, and prompt preemption delivery.
 
 import (
@@ -178,7 +178,7 @@ func TestGuardPredsMatchEvalCond(t *testing.T) {
 	}
 }
 
-// TestShapeVMStats pins the counter shape -vmstats reports: the trace
+// TestShapeVMStats pins the counter shape -stats reports: the trace
 // tier's counters (traces, trace-hits, trace-exits, trace-insts,
 // ras-hits, ic-hits, ic-misses) must be distinguished from the block
 // tier's, move under the workloads that exercise them, and all appear
@@ -232,7 +232,7 @@ func TestShapeVMStats(t *testing.T) {
 		t.Fatalf("indirect stats = %v: want inline-cache hits and misses", s3)
 	}
 
-	// String shape: every counter -vmstats prints, with these values.
+	// String shape: every counter -stats prints, with these values.
 	str := s.String()
 	for _, want := range []string{
 		fmt.Sprintf("traces=%d", s.Traces),
@@ -251,7 +251,7 @@ func TestShapeVMStats(t *testing.T) {
 		}
 	}
 
-	// Global aggregation (what -vmstats actually prints) must have
+	// Global aggregation (what -stats actually prints) must have
 	// absorbed all three CPUs' counters at their Run returns.
 	g := GlobalCacheStats()
 	if g.Traces < s.Traces || g.TraceHits < s.TraceHits || g.RASHits == 0 || g.ICHits == 0 || g.ICMisses == 0 {

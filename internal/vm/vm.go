@@ -53,6 +53,7 @@ package vm
 
 import (
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/isa"
@@ -492,8 +493,8 @@ func (c *CPU) fetch(addr uint64) (isa.Inst, int, *mem.Fault, error) {
 // which severs links to flushed translations. Returns nil when pc has
 // no translation (the caller falls back to Step). This is the single
 // copy of the validate-or-relink protocol; only the two-line fast
-// check is inlined at the call sites in run and runNoBudget, where a
-// helper call per block transition is measurable.
+// check is inlined at the call sites in run, where a helper call per
+// block transition is measurable.
 func (c *CPU) chainVia(link **block, pc uint64) *block {
 	if nb := *link; nb != nil && c.blockValid(nb) {
 		c.stats.Chains++
@@ -639,138 +640,12 @@ func (c *CPU) translate(pc uint64) *block {
 // the reason for stopping. After StopTrap the PC addresses the instruction
 // after the trap, so resuming continues past it.
 func (c *CPU) Run(maxCycles uint64) Stop {
-	var st Stop
 	if maxCycles == 0 {
-		st = c.runNoBudget()
-	} else {
-		st = c.run(maxCycles)
+		maxCycles = math.MaxUint64 // never exhausted: ~584 years at 1 GHz
 	}
+	st := c.run(maxCycles)
 	c.publishStats()
 	return st
-}
-
-// runNoBudget is the cached execution loop without a cycle budget
-// (maxCycles == 0) — the common case: harts run until the next
-// trap/exception. It is run with the budget arithmetic and clip logic
-// stripped from the per-block path (worth ~5% on hot loops); the two
-// loops are kept in lockstep, and the randomized differential tests
-// drive both (random budgets there, Run(0) here) against Step.
-func (c *CPU) runNoBudget() Stop {
-	var b *block
-	if c.takePreempt() {
-		return Stop{Reason: StopPreempt, PC: c.PC}
-	}
-	for {
-		if b == nil {
-			if c.takePreempt() {
-				return Stop{Reason: StopPreempt, PC: c.PC}
-			}
-			b = c.lookup(c.PC)
-			if b == nil {
-				if stop, done := c.Step(); done {
-					return stop
-				}
-				continue
-			}
-		}
-		// Trace tier: a promoted block enters its superblock. The fast
-		// check is one atomic load (the okGen memo); the slow path polls
-		// preemption BEFORE revalidating, because revalidation advances
-		// the memo and would otherwise absorb the generation bump that
-		// RequestPreempt relies on to get the hart off its fast paths.
-		if t := b.trace; t != nil {
-			if c.Mem.Generation() != t.okGen {
-				if c.takePreempt() {
-					return Stop{Reason: StopPreempt, PC: c.PC}
-				}
-				if !c.traceValid(t) {
-					// Some page under the trace moved; b itself may be
-					// stale too, so relink through the map.
-					c.severTrace(b)
-					b = nil
-					continue
-				}
-			}
-			c.stats.TraceHits++
-			if st, done := c.runTrace(t); done {
-				return st
-			}
-			pc := c.PC
-			if pc == t.anchor {
-				// Hot self-loop: re-enter through the fast check with no
-				// map traffic. A pending preemption bumped the
-				// generation, so it cannot spin here.
-				continue
-			}
-			if c.takePreempt() {
-				return Stop{Reason: StopPreempt, PC: pc}
-			}
-			b = c.traceExit(t, pc)
-			if b == nil {
-				if stop, done := c.Step(); done {
-					return stop
-				}
-			}
-			continue
-		} else if b.heat++; b.heat == traceHotThreshold && c.promote(b) {
-			continue
-		}
-		ops := b.fastOps
-		for i := 0; i < len(ops); i++ {
-			if ops[i](c) {
-				c.Cycles += uint64(i + 1)
-				c.stats.Threaded += uint64(i + 1)
-				return c.stop
-			}
-		}
-		n := len(b.insts)
-		c.Cycles += uint64(n)
-		c.stats.Threaded += uint64(n)
-		if !b.lastSetsPC {
-			c.PC = b.nexts[n-1]
-		}
-		// Block chaining: the inline check covers the hot case (linked
-		// successor, no mutation anywhere since its last validation —
-		// one atomic load); chainVia holds the shared validate-or-
-		// relink slow path. Indirect targets take the map. A pending
-		// preemption bumps the generation, so it lands in these slow
-		// branches — the poll costs the chained fast path nothing.
-		pc := c.PC
-		switch {
-		case b.hasTaken && pc == b.takenPC:
-			if nb := b.takenNext; nb != nil && c.Mem.Generation() == nb.okGen {
-				c.stats.Chains++
-				b = nb
-				continue
-			}
-			if c.takePreempt() {
-				return Stop{Reason: StopPreempt, PC: pc}
-			}
-			b = c.chainVia(&b.takenNext, pc)
-		case b.hasFall && pc == b.fallPC:
-			if nb := b.fallNext; nb != nil && c.Mem.Generation() == nb.okGen {
-				c.stats.Chains++
-				b = nb
-				continue
-			}
-			if c.takePreempt() {
-				return Stop{Reason: StopPreempt, PC: pc}
-			}
-			b = c.chainVia(&b.fallNext, pc)
-		default:
-			if c.takePreempt() {
-				return Stop{Reason: StopPreempt, PC: pc}
-			}
-			// Returns and indirect transfers probe the RAS / inline
-			// cache before the map (trace.go).
-			b = c.indirect(b, pc)
-		}
-		if b == nil {
-			if stop, done := c.Step(); done {
-				return stop
-			}
-		}
-	}
 }
 
 // run is the cached execution loop with a cycle budget: threaded
@@ -785,7 +660,7 @@ func (c *CPU) runNoBudget() Stop {
 // exit — architectural state is exact at every point a caller can
 // observe it.
 func (c *CPU) run(maxCycles uint64) Stop {
-	budget := maxCycles // Run routes maxCycles == 0 to runNoBudget
+	budget := maxCycles
 	var b *block
 	if c.takePreempt() {
 		return Stop{Reason: StopPreempt, PC: c.PC}
@@ -804,17 +679,24 @@ func (c *CPU) run(maxCycles uint64) Stop {
 				continue
 			}
 		}
-		// Trace tier, as in runNoBudget — but a superblock is entered
-		// only when it fits the remaining budget whole, so a clipped
-		// prefix always runs at the block tier and Run(maxCycles)
-		// semantics stay exact. The retired count is taken as the Cycles
-		// delta (a side exit retires only a prefix of the slots).
+		// Trace tier: a promoted block enters its superblock — but only
+		// when it fits the remaining budget whole, so a clipped prefix
+		// always runs at the block tier and Run(maxCycles) semantics
+		// stay exact. The fast check is one atomic load (the okGen
+		// memo); the slow path polls preemption BEFORE revalidating,
+		// because revalidation advances the memo and would otherwise
+		// absorb the generation bump that RequestPreempt relies on to
+		// get the hart off its fast paths. The retired count is taken
+		// as the Cycles delta (a side exit retires only a prefix of the
+		// slots).
 		if t := b.trace; t != nil && t.ninsts <= budget {
 			if c.Mem.Generation() != t.okGen {
 				if c.takePreempt() {
 					return Stop{Reason: StopPreempt, PC: c.PC}
 				}
 				if !c.traceValid(t) {
+					// Some page under the trace moved; b itself may be
+					// stale too, so relink through the map.
 					c.severTrace(b)
 					b = nil
 					continue
@@ -828,7 +710,11 @@ func (c *CPU) run(maxCycles uint64) Stop {
 			budget -= c.Cycles - c0
 			pc := c.PC
 			if pc == t.anchor {
-				continue // the loop head re-checks the budget
+				// Hot self-loop: re-enter through the fast check with no
+				// map traffic (the loop head re-checks the budget). A
+				// pending preemption bumped the generation, so it cannot
+				// spin here.
+				continue
 			}
 			if budget == 0 {
 				break
@@ -890,8 +776,12 @@ func (c *CPU) run(maxCycles uint64) Stop {
 			// translate, or count a transition that will not execute.
 			break
 		}
-		// Block chaining, as in runNoBudget — including the preempt
-		// poll on the slow transition branches.
+		// Block chaining: the inline check covers the hot case (linked
+		// successor, no mutation anywhere since its last validation —
+		// one atomic load); chainVia holds the shared validate-or-
+		// relink slow path. Indirect targets take the map. A pending
+		// preemption bumps the generation, so it lands in these slow
+		// branches — the poll costs the chained fast path nothing.
 		pc := c.PC
 		switch {
 		case b.hasTaken && pc == b.takenPC:
