@@ -15,7 +15,9 @@
 // utilization), net (readiness-path parks, poll/epoll calls, EAGAINs,
 // zero-copy ledgers, timer-wheel and backpressure counters) and fs
 // (image blocks Merkle-verified, verified-cache hits, read-aheads,
-// copy-ups, whiteouts, scrubbed blocks, repaired/rebuilt shards).
+// copy-ups, whiteouts, scrubbed blocks, repaired/rebuilt shards), plus
+// the loader's verified-binary cache hits and misses summed over the
+// experiment's Occlum instances.
 // -cpuprofile and -memprofile write pprof profiles covering the
 // selected experiments, so interpreter-perf work can profile the hot
 // path without editing code (the memory profile is written at exit,
@@ -42,7 +44,7 @@ func main() {
 
 func realMain() int {
 	scaleName := flag.String("scale", "quick", "experiment scale: quick or full")
-	stats := flag.Bool("stats", false, "report vm, sched, net and fs counters per experiment")
+	stats := flag.Bool("stats", false, "report vm, sched, net, fs and loader counters per experiment")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to `file`")
 	memProfile := flag.String("memprofile", "", "write an allocation profile to `file` at exit")
 	flag.Parse()

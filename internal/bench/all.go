@@ -41,6 +41,11 @@ var Experiments = []string{
 //     Merkle-verified, verified-cache hits, read-aheads, copy-ups,
 //     whiteouts, and the self-healing store's scrubbed blocks and
 //     repaired/rebuilt shards.
+//
+// It also totals the loader counters of every Occlum instance the
+// experiment boots: spawns served from the verified-binary cache (hits)
+// and spawns that read, parsed and signature-checked their binary
+// (misses).
 var Stats bool
 
 // Run executes one named experiment at the given scale, printing its
@@ -48,6 +53,7 @@ var Stats bool
 func Run(name string, s Scale, w io.Writer) error {
 	if Stats {
 		vm.ResetGlobalCacheStats()
+		s.booted = new([]*libos.Occlum)
 	}
 	before := sched.GlobalSnapshot()
 	netBefore := libos.NetStats()
@@ -68,6 +74,13 @@ func Run(name string, s Scale, w io.Writer) error {
 		fmt.Fprintf(w, "  [fs: verified=%d verify-hits=%d read-aheads=%d copy-ups=%d whiteouts=%d scrubbed=%d repaired=%d rebuilt=%d]\n",
 			f.VerifiedBlocks, f.VerifyHits, f.ReadAheads, f.CopyUps, f.Whiteouts,
 			f.ScrubbedBlocks, f.RepairedShards, f.RebuiltShards)
+		var l libos.LoaderStats
+		for _, o := range *s.booted {
+			ls := o.LoaderStats()
+			l.Hits += ls.Hits
+			l.Misses += ls.Misses
+		}
+		fmt.Fprintf(w, "  [loader: hits=%d misses=%d]\n", l.Hits, l.Misses)
 	}
 	return err
 }

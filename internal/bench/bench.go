@@ -15,6 +15,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/libos"
 	"repro/internal/workloads"
 )
 
@@ -63,6 +64,30 @@ type Scale struct {
 	// OcclumDomains/DomainData size the Occlum enclave.
 	OcclumDomains int
 	DomainData    uint64
+
+	// booted, when set (Run under Stats), collects the Occlum instances
+	// the experiment boots, so Run can total their loader counters.
+	booted *[]*libos.Occlum
+}
+
+// newOcclum boots an Occlum kernel, as workloads.NewOcclumKernel.
+func (s Scale) newOcclum(spec workloads.KernelSpec) (*workloads.OcclumKernel, error) {
+	k, err := workloads.NewOcclumKernel(spec)
+	if err == nil && s.booted != nil {
+		*s.booted = append(*s.booted, k.Sys.OS)
+	}
+	return k, err
+}
+
+// allKernels builds the three systems of a comparison run, as
+// workloads.AllKernels.
+func (s Scale) allKernels() ([]workloads.Kernel, error) {
+	spec := s.kernelSpec()
+	occ, err := s.newOcclum(spec)
+	if err != nil {
+		return nil, err
+	}
+	return []workloads.Kernel{workloads.NewLinuxKernel(spec), occ, workloads.NewEIPKernel(spec)}, nil
 }
 
 // SpawnBinary names one Figure 6a binary.

@@ -16,7 +16,7 @@ func Fig5aFish(s Scale) (*Table, error) {
 		Columns: []string{"time"},
 		Unit:    "ms",
 	}
-	kernels, err := workloads.AllKernels(s.kernelSpec())
+	kernels, err := s.allKernels()
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +47,7 @@ func Fig5bGCC(s Scale) (*Table, error) {
 	for i, sz := range s.GCCSources {
 		t.Columns[i] = fmt.Sprintf("%dB src", sz)
 	}
-	kernels, err := workloads.AllKernels(s.kernelSpec())
+	kernels, err := s.allKernels()
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +89,7 @@ func Fig5cLighttpd(s Scale) (*Table, error) {
 	for i, c := range s.HTTPConcurrency {
 		t.Columns[i] = fmt.Sprintf("c=%d", c)
 	}
-	kernels, err := workloads.AllKernels(s.kernelSpec())
+	kernels, err := s.allKernels()
 	if err != nil {
 		return nil, err
 	}

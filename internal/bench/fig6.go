@@ -38,7 +38,7 @@ func Fig6aSpawn(s Scale) (*Table, error) {
 	for i, sb := range s.SpawnSizes {
 		t.Columns[i] = sb.Name
 	}
-	kernels, err := workloads.AllKernels(s.kernelSpec())
+	kernels, err := s.allKernels()
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +152,7 @@ func Fig6bPipe(s Scale) (*Table, error) {
 	for i, bs := range s.PipeBufs {
 		t.Columns[i] = fmt.Sprintf("%dB", bs)
 	}
-	kernels, err := workloads.AllKernels(s.kernelSpec())
+	kernels, err := s.allKernels()
 	if err != nil {
 		return nil, err
 	}
@@ -245,7 +245,7 @@ func Fig6cdFileIO(s Scale, write bool) (*Table, error) {
 		t.Columns[i] = fmt.Sprintf("%dB", bs)
 	}
 	spec := s.kernelSpec()
-	occ, err := workloads.NewOcclumKernel(spec)
+	occ, err := s.newOcclum(spec)
 	if err != nil {
 		return nil, err
 	}

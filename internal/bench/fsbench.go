@@ -42,7 +42,7 @@ func FSBench(s Scale) (*Table, error) {
 	spec := s.kernelSpec()
 	spec.BaseImageBlob = blob
 	spec.BaseImageRoot = root
-	k, err := workloads.NewOcclumKernel(spec)
+	k, err := s.newOcclum(spec)
 	if err != nil {
 		return nil, err
 	}

@@ -29,7 +29,7 @@ func IPCBench(s Scale) (*Table, error) {
 	for i, c := range s.IPCChunks {
 		t.Columns[i] = fmt.Sprintf("%dKiB", c>>10)
 	}
-	k, err := workloads.NewOcclumKernel(s.kernelSpec())
+	k, err := s.newOcclum(s.kernelSpec())
 	if err != nil {
 		return nil, err
 	}

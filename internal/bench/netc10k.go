@@ -45,7 +45,7 @@ func C10KTable(s Scale) (*Table, error) {
 		// -stats shows it moving.
 		IdleTimeout: 60 * time.Second,
 	}
-	k, err := workloads.NewOcclumKernel(spec)
+	k, err := s.newOcclum(spec)
 	if err != nil {
 		return nil, err
 	}

@@ -13,7 +13,7 @@ import (
 // vs expensive) and the shared filesystem (writable vs read-only).
 func Table1(s Scale, w io.Writer) error {
 	spec := s.kernelSpec()
-	occ, err := workloads.NewOcclumKernel(spec)
+	occ, err := s.newOcclum(spec)
 	if err != nil {
 		return err
 	}

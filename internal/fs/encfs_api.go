@@ -93,6 +93,15 @@ func (r *Regular) Size() int64 {
 	return int64(in.size)
 }
 
+// ContentKey implements Versioned: the inode's current content version.
+func (r *Regular) ContentKey() (ContentKey, bool) {
+	r.fs.mu.Lock()
+	defer r.fs.mu.Unlock()
+	return ContentKey{FileID{r.fs, r.ino}, r.fs.versions[r.ino]}, true
+}
+
+var _ Versioned = (*Regular)(nil)
+
 // Close releases the handle (data durability needs Sync).
 func (r *Regular) Close() error { return nil }
 

@@ -97,6 +97,16 @@ type EncFS struct {
 	cache    map[int]*cpage
 	cacheCap int
 
+	// versions holds each inode's content version (Regular.ContentKey),
+	// drawn from clock. Only writeAtLocked and truncateLocked change a
+	// file's bytes or size; both bump on entry, because their data
+	// blocks change before the inode is written back. Inode-only writes
+	// (create, mkdir, the final clear of unlink) take an inode from
+	// empty to empty and need no bump. The clock is monotonic, so a
+	// freed and reused inode never repeats an old version.
+	versions []uint64
+	clock    uint64
+
 	// stats for /proc and tests
 	reads, writes, hits uint64
 }
@@ -125,6 +135,7 @@ func Mkfs(store *BlockStore) error {
 		dataStart:   1 + bitmapBlks + inodeBlks,
 		cache:       make(map[int]*cpage),
 		cacheCap:    1024,
+		versions:    make([]uint64, defaultInodes+1),
 	}
 	// Superblock.
 	sb := make([]byte, BlockSize)
@@ -160,9 +171,10 @@ func Mount(store *BlockStore) (*EncFS, error) {
 		return nil, fmt.Errorf("%w: bad superblock", ErrBadKey)
 	}
 	bitmapBlks, inodeBlks := geometry(store.MaxBlocks())
+	numInodes := int(binary.LittleEndian.Uint32(sb[8:]))
 	return &EncFS{
 		store:       store,
-		numInodes:   int(binary.LittleEndian.Uint32(sb[8:])),
+		numInodes:   numInodes,
 		bitmapStart: 1,
 		bitmapBlks:  bitmapBlks,
 		inodeStart:  1 + bitmapBlks,
@@ -170,6 +182,7 @@ func Mount(store *BlockStore) (*EncFS, error) {
 		dataStart:   1 + bitmapBlks + inodeBlks,
 		cache:       make(map[int]*cpage),
 		cacheCap:    1024,
+		versions:    make([]uint64, numInodes+1),
 	}, nil
 }
 
@@ -425,11 +438,19 @@ func (fs *EncFS) readAtLocked(ino int, p []byte, off int64) (int, error) {
 	return total, nil
 }
 
+// bumpVersion gives the inode a fresh content version. Caller holds
+// fs.mu and has validated ino.
+func (fs *EncFS) bumpVersion(ino int) {
+	fs.clock++
+	fs.versions[ino] = fs.clock
+}
+
 func (fs *EncFS) writeAtLocked(ino int, p []byte, off int64) (int, error) {
 	in, err := fs.readInode(ino)
 	if err != nil {
 		return 0, err
 	}
+	fs.bumpVersion(ino)
 	total := 0
 	for len(p) > 0 {
 		fb := int(off / BlockSize)
@@ -464,6 +485,7 @@ func (fs *EncFS) truncateLocked(ino int) error {
 	if err != nil {
 		return err
 	}
+	fs.bumpVersion(ino)
 	nblocks := int((in.size + BlockSize - 1) / BlockSize)
 	for fb := 0; fb < nblocks; fb++ {
 		blk, err := fs.fileBlock(&in, fb, false)

@@ -604,6 +604,7 @@ func (ifs *ImageFS) resolve(p string) (int, error) {
 // imageNode is an open file on the image layer.
 type imageNode struct {
 	ifs *ImageFS
+	ino int
 	in  imgInode
 }
 
@@ -642,6 +643,14 @@ func (n *imageNode) ReadBorrow(off int64, max int) ([]byte, error) {
 
 var _ BorrowReader = (*imageNode)(nil)
 
+// ContentKey implements Versioned. The image is immutable and
+// Merkle-checked, so every file has one version for the mount's life.
+func (n *imageNode) ContentKey() (ContentKey, bool) {
+	return ContentKey{FileID: FileID{n.ifs, n.ino}}, true
+}
+
+var _ Versioned = (*imageNode)(nil)
+
 func (n *imageNode) WriteAt(p []byte, off int64) (int, error) {
 	return 0, ErrReadOnly
 }
@@ -662,7 +671,7 @@ func (ifs *ImageFS) Open(p string, flags OpenFlag) (Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &imageNode{ifs: ifs, in: in}, nil
+	return &imageNode{ifs: ifs, ino: ino, in: in}, nil
 }
 
 // Mkdir always fails: the image is immutable.

@@ -399,6 +399,21 @@ func (n *unionNode) Size() int64 {
 	return n.cur.Size()
 }
 
+// ContentKey implements Versioned by forwarding the key of the layer
+// the handle currently reads from: a copy-up moves the file to another
+// filesystem and inode, so its key changes with it.
+func (n *unionNode) ContentKey() (ContentKey, bool) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.refresh()
+	if v, ok := n.cur.(Versioned); ok {
+		return v.ContentKey()
+	}
+	return ContentKey{}, false
+}
+
+var _ Versioned = (*unionNode)(nil)
+
 func (n *unionNode) Close() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -58,6 +58,30 @@ type BorrowReader interface {
 	ReadBorrow(off int64, max int) ([]byte, error)
 }
 
+// FileID names one file: the filesystem instance and its inode.
+type FileID struct {
+	FS  FileSystem
+	Ino int
+}
+
+// ContentKey names one version of a file's contents. The version
+// changes whenever the file's bytes or size change and never repeats
+// for the same FileID, so two reads bracketed by equal keys saw the same
+// bytes. The LibOS loader keys its verified-binary cache on it.
+type ContentKey struct {
+	FileID
+	Version uint64
+}
+
+// Versioned is implemented by nodes that can name their content
+// version, in the style of BorrowReader: EncFS files (a per-inode
+// version from one monotonic counter), image files (a constant — the
+// image is immutable) and union files (the key of the current layer).
+// ok is false when the node cannot name a version right now.
+type Versioned interface {
+	ContentKey() (key ContentKey, ok bool)
+}
+
 // FileSystem is one mountable filesystem.
 type FileSystem interface {
 	Open(path string, flags OpenFlag) (Node, error)

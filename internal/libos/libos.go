@@ -151,6 +151,12 @@ type Occlum struct {
 	encfs *fs.EncFS
 	store *fs.BlockStore
 
+	// binMu guards the verified-binary cache (loader.go): at most one
+	// entry per file, the last content version verified.
+	binMu    sync.Mutex
+	bins     map[fs.FileID]verifiedBin
+	binStats LoaderStats
+
 	// BootStats records the cost of enclave creation.
 	BootStats BootStats
 }
@@ -210,6 +216,7 @@ func Boot(platform *sgx.Platform, host *hostos.Host, cfg Config) (*Occlum, error
 		procs:      make(map[int]*Proc),
 		nextPID:    1,
 		waitWakers: make(map[int][]func()),
+		bins:       make(map[fs.FileID]verifiedBin),
 	}
 
 	// Preallocate domains: code pages RWX (the loader rewrites them;

@@ -10,26 +10,87 @@ import (
 	"repro/internal/oelf"
 )
 
-// loadBinary reads, parses and signature-checks an OELF from the LibOS
-// filesystem. The read decrypts through the encrypted FS — part of the
-// real cost that makes Occlum's spawn scale with binary size (Fig 6a).
+// verifiedBin is one entry of the verified-binary cache: the parsed,
+// signature-checked binary of one content version of one file.
+type verifiedBin struct {
+	version uint64
+	bin     *oelf.Binary
+}
+
+// LoaderStats counts the loader's verified-binary cache outcomes.
+type LoaderStats struct {
+	// Hits are spawns served from the cache: no read, parse or verify.
+	Hits uint64
+	// Misses are spawns that read, parsed and signature-checked the
+	// binary — one per verification.
+	Misses uint64
+}
+
+// LoaderStats returns this instance's loader counters.
+func (o *Occlum) LoaderStats() LoaderStats {
+	o.binMu.Lock()
+	defer o.binMu.Unlock()
+	return o.binStats
+}
+
+// loadBinary returns the parsed, signature-checked OELF at path. Every
+// content version of a file is read (decrypting through the encrypted
+// FS), parsed and verified once, on its first spawn; later spawns of
+// the same version reuse that result. The returned binary is shared and
+// read-only — loadIntoDomain copies what it patches. Warm spawns (the
+// best-of-3 cells of Figure 6a) therefore skip the FS read and the
+// SHA-256; what still scales with binary size is loadIntoDomain's copy
+// of the image into the domain.
+//
+// A cache entry is keyed by the file's fs.FileID and holds the version
+// it was verified at. A hit needs the node's current key to match; a
+// miss inserts only if the key read before the bytes equals the key
+// read after them, so a write racing the read is never cached. Nodes
+// that cannot name a version (devfs, procfs) are verified every time.
 func (o *Occlum) loadBinary(path string) (*oelf.Binary, error) {
 	f, err := o.vfs.Open(path, fs.ORdOnly)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
+	v, keyed := f.(fs.Versioned)
+	var key fs.ContentKey
+	if keyed {
+		key, keyed = v.ContentKey()
+	}
+	if keyed {
+		o.binMu.Lock()
+		e, ok := o.bins[key.FileID]
+		if ok && e.version == key.Version {
+			o.binStats.Hits++
+			o.binMu.Unlock()
+			return e.bin, nil
+		}
+		o.binMu.Unlock()
+	}
+
 	raw := make([]byte, f.Size())
-	if _, err := f.ReadAt(raw, 0); err != nil {
+	n, err := f.ReadAt(raw, 0)
+	if err != nil {
 		return nil, err
 	}
-	bin, err := oelf.Unmarshal(raw)
+	bin, err := oelf.Unmarshal(raw[:n])
+	o.binMu.Lock()
+	o.binStats.Misses++
+	o.binMu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	// Loader duty 1: only verifier-signed binaries may enter a domain.
 	if err := o.cfg.VerifierKey.Verify(bin); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNotSigned, err)
+	}
+	if keyed {
+		if after, ok := v.ContentKey(); ok && after == key {
+			o.binMu.Lock()
+			o.bins[key.FileID] = verifiedBin{key.Version, bin}
+			o.binMu.Unlock()
+		}
 	}
 	return bin, nil
 }

@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 
 	"repro/internal/asm"
 )
@@ -56,40 +57,54 @@ func FromImage(name string, img *asm.Image) *Binary {
 // Size returns the total encoded size, a stand-in for on-disk binary size
 // (used by the spawn benchmarks, where load time scales with binary size).
 func (b *Binary) Size() int {
-	return len(b.marshalBody()) + len(b.Sig) + 16
+	return b.bodyLen() + len(b.Sig) + 16
 }
 
 // Digest computes the SHA-256 digest of everything the signature covers:
-// the name, geometry and full code/data contents.
+// the name, geometry and full code/data contents — the encoded body,
+// streamed into the hash without assembling it.
 func (b *Binary) Digest() [32]byte {
-	return sha256.Sum256(b.marshalBody())
+	h := sha256.New()
+	hdr := b.header()
+	h.Write(hdr[:])
+	io.WriteString(h, b.Name)
+	h.Write(b.Image.Code)
+	h.Write(b.Image.Data)
+	var d [32]byte
+	h.Sum(d[:0])
+	return d
 }
 
-func (b *Binary) marshalBody() []byte {
-	var buf bytes.Buffer
-	buf.Write(Magic[:])
-	var hdr [36]byte
-	binary.LittleEndian.PutUint32(hdr[0:], Version)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(len(b.Name)))
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(b.Image.Code)))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(b.Image.Data)))
-	binary.LittleEndian.PutUint32(hdr[16:], b.Image.BSS)
-	binary.LittleEndian.PutUint32(hdr[20:], b.Image.Entry)
-	binary.LittleEndian.PutUint32(hdr[24:], b.Image.GuardSize)
-	binary.LittleEndian.PutUint32(hdr[28:], 0) // reserved
-	binary.LittleEndian.PutUint32(hdr[32:], 0) // reserved
-	buf.Write(hdr[:])
-	buf.WriteString(b.Name)
-	buf.Write(b.Image.Code)
-	buf.Write(b.Image.Data)
-	return buf.Bytes()
+// bodyLen is the length of the encoded body: magic, header, name, code
+// and data.
+func (b *Binary) bodyLen() int {
+	return 40 + len(b.Name) + len(b.Image.Code) + len(b.Image.Data)
+}
+
+// header encodes the magic and the fixed header that open the body.
+func (b *Binary) header() [40]byte {
+	var hdr [40]byte
+	copy(hdr[:], Magic[:])
+	h := hdr[4:]
+	binary.LittleEndian.PutUint32(h[0:], Version)
+	binary.LittleEndian.PutUint32(h[4:], uint32(len(b.Name)))
+	binary.LittleEndian.PutUint32(h[8:], uint32(len(b.Image.Code)))
+	binary.LittleEndian.PutUint32(h[12:], uint32(len(b.Image.Data)))
+	binary.LittleEndian.PutUint32(h[16:], b.Image.BSS)
+	binary.LittleEndian.PutUint32(h[20:], b.Image.Entry)
+	binary.LittleEndian.PutUint32(h[24:], b.Image.GuardSize)
+	// h[28:36] is reserved (zero).
+	return hdr
 }
 
 // Marshal encodes the binary, including the signature (if any).
 func (b *Binary) Marshal() []byte {
-	body := b.marshalBody()
-	out := make([]byte, 0, len(body)+4+len(b.Sig))
-	out = append(out, body...)
+	hdr := b.header()
+	out := make([]byte, 0, b.bodyLen()+4+len(b.Sig))
+	out = append(out, hdr[:]...)
+	out = append(out, b.Name...)
+	out = append(out, b.Image.Code...)
+	out = append(out, b.Image.Data...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(b.Sig)))
 	out = append(out, b.Sig...)
 	return out

@@ -1,6 +1,9 @@
 package oelf
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -108,5 +111,78 @@ func TestSizeReflectsContents(t *testing.T) {
 	big.Image.Code = make([]byte, 100000)
 	if big.Size() <= small.Size() {
 		t.Fatal("size should grow with code")
+	}
+}
+
+// randomBinary draws a binary with random name, geometry and segments.
+func randomBinary(r *rand.Rand) *Binary {
+	seg := func(max int) []byte {
+		b := make([]byte, r.Intn(max))
+		r.Read(b)
+		return b
+	}
+	b := FromImage(string(seg(40)), &asm.Image{
+		Code:      seg(20000),
+		Data:      seg(5000),
+		BSS:       r.Uint32(),
+		GuardSize: r.Uint32(),
+	})
+	if len(b.Image.Code) > 0 {
+		b.Image.Entry = uint32(r.Intn(len(b.Image.Code)))
+	}
+	if r.Intn(2) == 0 {
+		NewSigningKey("test").Sign(b)
+	}
+	return b
+}
+
+func TestDigestIsSHA256OfBody(t *testing.T) {
+	// The streamed digest must stay bit-identical to hashing the
+	// encoded body: every signature in existence covers those bytes.
+	r := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		b := randomBinary(r)
+		enc := b.Marshal()
+		body := enc[:len(enc)-4-len(b.Sig)]
+		if b.Digest() != sha256.Sum256(body) {
+			t.Fatalf("binary %d: Digest differs from sha256(body)", i)
+		}
+		if want := len(body) + len(b.Sig) + 16; b.Size() != want {
+			t.Fatalf("binary %d: Size %d, want %d", i, b.Size(), want)
+		}
+	}
+}
+
+// goldenSigned is sample() signed with NewSigningKey("golden") and
+// marshaled by the buffer-assembling encoder that preceded the streamed
+// digest.
+const (
+	goldenSigned = "4f454c4601000000050000000500000003000000800000000000000000100000" +
+		"000000000000000068656c6c6f0102030405090807200000002cd15066b65f66" +
+		"05b15a1cb83630bcb9b6457c4effde5621eb031b58a6b87db0"
+	goldenDigest = "26267cce587fb95430989011466668db93edc1d4bf655904792de7ee9a03058d"
+	goldenSize   = 101
+)
+
+func TestPreviouslySignedBinaryVerifies(t *testing.T) {
+	raw, err := hex.DecodeString(goldenSigned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Unmarshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := NewSigningKey("golden").Verify(b); err != nil {
+		t.Fatalf("binary signed by the old encoder no longer verifies: %v", err)
+	}
+	if d := b.Digest(); hex.EncodeToString(d[:]) != goldenDigest {
+		t.Fatalf("digest %x, want %s", d, goldenDigest)
+	}
+	if b.Size() != goldenSize {
+		t.Fatalf("size %d, want %d", b.Size(), goldenSize)
+	}
+	if got := hex.EncodeToString(b.Marshal()); got != goldenSigned {
+		t.Fatalf("re-marshal differs:\n got %s\nwant %s", got, goldenSigned)
 	}
 }
